@@ -43,13 +43,14 @@ ThreadContext& Runtime::register_thread() {
 
 void Runtime::unregister_thread(ThreadContext& ctx) {
   HT_ASSERT(!ctx.in_region, "thread exiting inside an SBRS region");
-  // Thread exit has release semantics: flush held states and bump, so that
-  // other threads' conservative current-counter edges cover this thread's
-  // final accesses. The replayer mirrors this bump at thread end
-  // (deterministic, so it is not logged).
+  // Thread exit has release semantics: bump, then flush held states
+  // (DESIGN.md §4.3), so that other threads' conservative current-counter
+  // edges cover this thread's final accesses. The replayer mirrors this bump
+  // at thread end (deterministic, so it is not logged).
   //
   // A quarantined thread must NOT flush: its buffered locks point at state
   // words survivors already seized — drop them instead.
+  ctx.owner_side.release_counter.fetch_add(1, std::memory_order_release);
   if (ctx.quarantined_self || thread_quarantined(ctx.id)) {
     ctx.quarantined_self = true;
     ctx.lock_buffer.clear();
@@ -58,7 +59,6 @@ void Runtime::unregister_thread(ThreadContext& ctx) {
     ctx.run_flush_hook();
   }
   elision_flush(ctx);  // the exit flush is a revocation point (§15)
-  ctx.owner_side.release_counter.fetch_add(1, std::memory_order_release);
   ctx.run_region_log_hook();  // recorder: deterministic bump -> region mark
   registry_.mark_exited(ctx);
   // Answer any stragglers that ticketed before seeing the parked status.
@@ -73,7 +73,7 @@ void Runtime::unregister_thread(ThreadContext& ctx) {
   }
   HT_TELEM_EVENT(ctx, kThreadExit, ctx.release_counter_relaxed(),
                  req > wm_before ? req : wm_before, wm_before);
-  // Batch stragglers likewise: answered by the exit flush-and-bump above.
+  // Batch stragglers likewise: answered by the exit bump-and-flush above.
   drain_mailbox(ctx, ctx, ctx.release_counter_relaxed());
 }
 
@@ -87,9 +87,11 @@ void Runtime::psro(ThreadContext& ctx) {
   if (injector_ != nullptr && injector_->thread_fully_stuck(ctx.id)) return;
   ++ctx.stats.psros;
   renew_lease(ctx);
+  // Bump before unlocking (DESIGN.md §4.3): a thread that acquires one of
+  // the flushed states reads a counter covering our last access to it.
+  ctx.owner_side.release_counter.fetch_add(1, std::memory_order_release);
   ctx.run_flush_hook();
   elision_flush(ctx);  // the PSRO flush releases held-lock entries (§15)
-  ctx.owner_side.release_counter.fetch_add(1, std::memory_order_release);
   ctx.run_region_log_hook();  // recorder: deterministic bump -> region mark
   // Pending requests are satisfied by the flush we just performed; the PSRO
   // bump doubles as the responding bump, so no extra increment and no
@@ -106,7 +108,7 @@ void Runtime::psro(ThreadContext& ctx) {
   }
   HT_TELEM_EVENT(ctx, kPsro, ctx.release_counter_relaxed(),
                  req > wm_before ? req : wm_before, wm_before);
-  // Batch requests are equally satisfied by the PSRO's flush-and-bump.
+  // Batch requests are equally satisfied by the PSRO's bump-and-flush.
   drain_mailbox(ctx, ctx, ctx.release_counter_relaxed());
 }
 
@@ -118,11 +120,13 @@ void Runtime::respond(ThreadContext& ctx) {
   const bool scalar = req > wm_before;
   if (!scalar && !ctx.batch_requests_pending()) return;
   ctx.run_abort_hook();  // enforcer: roll back region writes while still owner
+  // The rollback writes above are accesses, so the bump follows them; the
+  // unlocking flush follows the bump (DESIGN.md §4.3).
+  ctx.owner_side.release_counter.fetch_add(1, std::memory_order_release);
   ctx.run_flush_hook();  // hybrid: deferred unlocking's buffer flush
   // Responding hands ownership away (optimistic revocation + the flush
   // above); every cached elision entry is stale from here on (§15).
   elision_flush(ctx);
-  ctx.owner_side.release_counter.fetch_add(1, std::memory_order_release);
   if (scalar) {
     ctx.owner_side.response_watermark.store(req, std::memory_order_release);
   }
@@ -184,14 +188,14 @@ void Runtime::begin_blocking(ThreadContext& ctx) {
   // Death only flips at poll probes, so it cannot change between this check
   // and the matching end_blocking's.
   if (injector_ != nullptr && injector_->thread_fully_stuck(ctx.id)) return;
-  // Blocking is a responding safe point (§2.2): flush and bump BEFORE
-  // publishing BLOCKED, so implicit coordinators find no held locks and read
-  // a counter value covering all our prior accesses.
+  // Blocking is a responding safe point (§2.2): bump, then flush (DESIGN.md
+  // §4.3), both BEFORE publishing BLOCKED, so implicit coordinators find no
+  // held locks and read a counter value covering all our prior accesses.
   renew_lease(ctx);
+  ctx.owner_side.release_counter.fetch_add(1, std::memory_order_release);
   ctx.run_flush_hook();
   elision_flush(ctx);  // blocking enter flushes locks and invites implicit
                        // coordination against us (§15)
-  ctx.owner_side.release_counter.fetch_add(1, std::memory_order_release);
   ++ctx.stats.responding_safepoints;
   // Stragglers that ticketed before this flush are satisfied by it; publish
   // the watermark before parking (same ordering as respond() — tickets taken

@@ -12,11 +12,11 @@
 //   (1) at every PSRO                         — deterministic, not logged,
 //   (2) at every non-PSRO responding safe point (explicit response, blocking
 //       entry, wake-up response)              — logged via the resp-log hook.
-// Bumps are ordered *after* region rollback and lock-buffer flushing and
-// *before* the response watermark / blocked status is published, so any
-// thread that observes the response (or the unlocked state — flushes store
-// states after the bump) reads a counter value that postdates every program
-// access the owner performed before relinquishing.
+// Bumps are ordered *after* region rollback, *before* lock-buffer flushing
+// (DESIGN.md §4.3) and before the response watermark / blocked status is
+// published, so any thread that observes the response (or the unlocked state
+// — flushes store states after the bump) reads a counter value that
+// postdates every program access the owner performed before relinquishing.
 //
 // Failure model (DESIGN.md §7): the protocol above assumes every thread
 // keeps reaching safe points. The coordination watchdog drops that
@@ -156,7 +156,7 @@ class Runtime {
   // psro() before spawn — see workload::run_threads.
   ThreadContext& register_thread();
 
-  // Final flush + release-counter bump + permanent BLOCKED parking. After
+  // Release-counter bump + final flush + permanent BLOCKED parking. After
   // this every implicit coordination with the thread succeeds.
   void unregister_thread(ThreadContext& ctx);
 
@@ -239,12 +239,12 @@ class Runtime {
     if (injector_ != nullptr) slow_path_fault(ctx);
   }
 
-  // Program-synchronization release operation: flush the lock buffer, bump
-  // the release counter (deterministically), answer pending requests.
+  // Program-synchronization release operation: bump the release counter
+  // (deterministically), flush the lock buffer, answer pending requests.
   void psro(ThreadContext& ctx);
 
-  // Blocking safe points (lock acquisition, join, barrier): flush, bump
-  // (logged), park BLOCKED so requesters coordinate implicitly.
+  // Blocking safe points (lock acquisition, join, barrier): bump (logged),
+  // flush, park BLOCKED so requesters coordinate implicitly.
   void begin_blocking(ThreadContext& ctx);
   void end_blocking(ThreadContext& ctx);
 

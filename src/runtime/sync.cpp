@@ -36,7 +36,7 @@ void ProgramLock::acquire(ThreadContext& ctx) {
 void ProgramLock::abandon() { mu_.unlock(); }
 
 void ProgramLock::release(ThreadContext& ctx) {
-  ctx.runtime->psro(ctx);  // flush + deterministic release-counter bump
+  ctx.runtime->psro(ctx);  // deterministic release-counter bump + flush
   HT_TSAN_RELEASE(this);
   mu_.unlock();
 }

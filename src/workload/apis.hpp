@@ -12,6 +12,7 @@
 // figure divides by.
 #pragma once
 
+#include "common/assert.hpp"
 #include "enforcer/rs_enforcer.hpp"
 #include "recorder/recorder.hpp"
 #include "recorder/replayer.hpp"
@@ -27,8 +28,11 @@ class DirectApi {
             DependenceRecorder* recorder = nullptr)
       : rt_(&rt), tracker_(&tracker), recorder_(recorder) {}
 
-  void begin_thread(ThreadId) {
+  // The runtime id must equal the driver's thread index: recorder logs are
+  // keyed by the one, replay and private-pool ownership by the other.
+  void begin_thread(ThreadId tid) {
     ctx_ = &rt_->register_thread();
+    HT_ASSERT(ctx_->id == tid, "threads must register in spawn order");
     tracker_->attach_thread(*ctx_);
     if (recorder_ != nullptr) recorder_->attach_thread(*ctx_);
   }
@@ -82,8 +86,9 @@ class EnforcerApi {
   EnforcerApi(Runtime& rt, RsEnforcer<Tracker>& enforcer)
       : rt_(&rt), enforcer_(&enforcer) {}
 
-  void begin_thread(ThreadId) {
+  void begin_thread(ThreadId tid) {
     ctx_ = &rt_->register_thread();
+    HT_ASSERT(ctx_->id == tid, "threads must register in spawn order");
     enforcer_->attach_thread(*ctx_);  // tracker hooks + region-abort hook
   }
   void end_thread() { rt_->unregister_thread(*ctx_); }

@@ -353,6 +353,11 @@ std::uint64_t workload_thread_body(Api& api, const WorkloadConfig& cfg,
 // returns wall time plus merged statistics. Thread spawn/join act as the
 // fork/join PSROs the paper lists — the APIs handle the release semantics in
 // begin_thread/end_thread.
+//
+// Threads register in spawn order, so the runtime id each one gets equals
+// its spawn index `tid` — as in the paper's VM, where the parent assigns the
+// id at spawn. The recorder keys its logs by runtime id while the replayer
+// and the workload bodies key theirs by `tid` (DESIGN.md §4.4).
 // ---------------------------------------------------------------------------
 
 struct WorkloadRunResult {
@@ -401,11 +406,19 @@ WorkloadRunResult run_threads(int nthreads, MakeApi&& make_api, Init&& init,
   threads.reserve(static_cast<std::size_t>(nthreads));
 
   std::atomic<int> quarantined_total{0};
+  std::atomic<int> registration_turn{0};
   for (int t = 0; t < nthreads; ++t) {
     threads.emplace_back([&, t] {
       const ThreadId tid = static_cast<ThreadId>(t);
       auto api = make_api(tid);
+      for (int turn = registration_turn.load(std::memory_order_acquire);
+           turn != t;
+           turn = registration_turn.load(std::memory_order_acquire)) {
+        registration_turn.wait(turn, std::memory_order_acquire);
+      }
       api.begin_thread(tid);
+      registration_turn.fetch_add(1, std::memory_order_release);
+      registration_turn.notify_all();
       // Quarantine tolerance (DESIGN.md §11.2): a thread whose lease was
       // revoked ends its run at the throw, but it must still *arrive* at
       // both barriers or every healthy thread deadlocks. It arrives without

@@ -3,6 +3,11 @@
 // replay, enforcer access counting, and stats plumbing.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
+#include <thread>
+#include <vector>
+
 #include "tracking/hybrid_tracker.hpp"
 #include "tracking/null_tracker.hpp"
 #include "workload/apis.hpp"
@@ -123,6 +128,48 @@ TEST(RunThreads, MergesStatsAndChecksums) {
   EXPECT_EQ(r.checksums[0], 100u);
   EXPECT_EQ(r.checksums[2], 102u);
   EXPECT_GE(r.seconds, 0.0);
+}
+
+// Registers with the runtime and reports the id it got, so a test can check
+// the driver's registration order without any tracker in the way.
+class IdProbeApi {
+ public:
+  IdProbeApi(Runtime& rt, std::vector<ThreadId>& ids) : rt_(&rt), ids_(&ids) {}
+  void begin_thread(ThreadId tid) {
+    ctx_ = &rt_->register_thread();
+    (*ids_)[tid] = ctx_->id;
+  }
+  void end_thread() { rt_->unregister_thread(*ctx_); }
+  void begin_wait() { rt_->begin_blocking(*ctx_); }
+  void end_wait() { rt_->end_blocking(*ctx_); }
+  TransitionStats take_stats() const { return ctx_->stats; }
+  void reset_stats() {}
+
+ private:
+  Runtime* rt_;
+  std::vector<ThreadId>* ids_;
+  ThreadContext* ctx_ = nullptr;
+};
+
+TEST(RunThreads, RuntimeIdsEqualSpawnIndices) {
+  // Lower spawn indices take longer to build their API, so without ordered
+  // registration the last-spawned thread would register first. The recorder
+  // keys logs by runtime id and the replayer by spawn index, so the two must
+  // agree (DESIGN.md §4.4).
+  constexpr int kThreads = 4;
+  Runtime rt;
+  std::vector<ThreadId> ids(kThreads, kNoThread);
+  (void)run_threads(
+      kThreads,
+      [&](ThreadId tid) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(
+            10 * (kThreads - static_cast<int>(tid))));
+        return IdProbeApi(rt, ids);
+      },
+      [](auto&, ThreadId) {}, [](auto&, ThreadId) { return std::uint64_t{0}; });
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(ids[static_cast<std::size_t>(t)], static_cast<ThreadId>(t));
+  }
 }
 
 }  // namespace

@@ -3,9 +3,11 @@
 // flush-and-bump stamps every object's edge, and recordings made with
 // batching stay structurally valid, lint-clean, and replayable.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
+#include <string>
 #include <thread>
 
 #include "analysis/hb_engine/hb_engine.hpp"
@@ -264,9 +266,11 @@ TEST(CoordBatch, BatchedRecordingValidatesLintsAnalyzesAndReplays) {
   const ValidationResult v = validate_recording(recording);
   EXPECT_TRUE(v.ok()) << v.to_string();
 
-  // trace_lint + trace_analyze equivalents over the saved file.
-  const std::string path =
-      ::testing::TempDir() + "coord_batch_recording.bin";
+  // trace_lint + trace_analyze equivalents over the saved file. The name is
+  // per process so concurrent runs sharing a temp dir never read each
+  // other's half-written file.
+  const std::string path = ::testing::TempDir() + "coord_batch_recording." +
+                           std::to_string(::getpid()) + ".bin";
   ASSERT_TRUE(save_recording(recording, path));
   const analysis::FileLintResult lint = analysis::lint_recording_file(path);
   EXPECT_TRUE(lint.load.complete());

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <thread>
+#include <vector>
 
 #include "test_util.hpp"
 
@@ -159,8 +161,9 @@ TEST(Runtime, RespondRunsHooksInOrder) {
   ThreadContext& owner = rt.register_thread();
   ThreadContext& requester = rt.register_thread();
 
-  // Order contract: flush before the release-counter bump; the response-log
-  // hook after the bump.
+  // Order contract (DESIGN.md §4.3): bump the release counter, then flush,
+  // so a thread acquiring a flushed state reads the post-bump counter; the
+  // response-log hook also runs after the bump.
   static thread_local std::vector<std::string> trace;
   trace.clear();
   owner.flush_self = &owner;
@@ -185,8 +188,27 @@ TEST(Runtime, RespondRunsHooksInOrder) {
   }
   req.join();
   ASSERT_GE(trace.size(), 2u);
-  EXPECT_EQ(trace[0], "flush@0");  // flush before bump
+  EXPECT_EQ(trace[0], "flush@1");  // flush after bump
   EXPECT_EQ(trace[1], "log@1");    // log after bump
+}
+
+// Every other flush site also bumps before it flushes (DESIGN.md §4.3), so
+// each flush hook sees the counter its own bump produced.
+TEST(Runtime, FlushHookSeesBumpedCounterAtEverySite) {
+  Runtime rt;
+  ThreadContext& ctx = rt.register_thread();
+  std::vector<std::uint64_t> seen;
+  ctx.flush_self = &seen;
+  ctx.flush_fn = [](void* self, ThreadContext& c) {
+    static_cast<std::vector<std::uint64_t>*>(self)->push_back(
+        c.release_counter_relaxed());
+  };
+  rt.psro(ctx);
+  rt.begin_blocking(ctx);
+  rt.end_blocking(ctx);
+  rt.unregister_thread(ctx);
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(ctx.release_counter_relaxed(), 3u);
 }
 
 TEST(Runtime, BlockingIsARespondingSafePoint) {
